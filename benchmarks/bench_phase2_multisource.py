@@ -5,7 +5,8 @@ Reconstructs the workload the batched kernel exists for — the
 from an R-MAT graph: Par-FWBW (no trim, so the tail survives into
 phase 2) followed by Par-WCC leaves thousands of tiny independent
 colour partitions.  Each cell drains that queue through the serial
-driver, per-pivot vs ``--phase2-batch``, under each kernel backend
+driver, per-pivot (``phase2_batch=False``, the parity oracle) vs the
+default batched drain, under each kernel backend
 (``numpy`` reference tier, and the ``numba`` slot — the tuned
 fastpath tier when numba itself is not importable).  Every compared
 cell asserts bit-identical labels and an identical task trace before

@@ -16,6 +16,13 @@ Partition representation (Section 4.1's hybrid scheme):
   hybrid approach is ~10x faster; ``bench_ablation_hybrid_repr.py``
   reproduces that gap from the recorded work.
 
+The Recur-FWBW tail is a storm of thousands of tiny partitions, so
+by default every executor drains runs of small items through
+:func:`recur_fwbw_batch_task`, up to 64 pivots per CSR sweep
+(:class:`Phase2BatchPolicy`); labels and trace records are
+bit-identical to the per-pivot drain, which ``phase2_batch=False``
+keeps as the parity oracle.
+
 Four executors can drain the phase — serial worklist (default; used
 for trace collection), the real threaded two-level work queue, and the
 plain/supervised process pools — all resolved through the one backend
@@ -462,7 +469,7 @@ def run_recur_phase(
     supervisor=None,
     deadline: Optional[float] = None,
     session=None,
-    phase2_batch: Union[bool, Phase2BatchPolicy] = False,
+    phase2_batch: Union[bool, Phase2BatchPolicy] = Phase2BatchPolicy(),
 ) -> int:
     """Drain the phase-2 work queue; returns the number of tasks run.
 
@@ -484,10 +491,12 @@ def run_recur_phase(
     shared-memory mirror and forked worker pool the process executors
     reuse instead of rebuilding per run.
 
-    ``phase2_batch`` turns on the bit-parallel multi-source tail
-    (``True`` for the default :class:`Phase2BatchPolicy`, or a policy
-    instance): small-task storms are drained in groups of ≤64 pivots
-    per CSR sweep, bit-identically to the per-pivot path.
+    ``phase2_batch`` selects how the tail drains.  By default
+    small-task storms run through the bit-parallel multi-source kernel
+    in groups of ≤64 pivots per CSR sweep, bit-identically to the
+    per-pivot path; ``False`` forces the per-pivot drain (the parity
+    oracle), and a :class:`Phase2BatchPolicy` instance overrides the
+    routing.
     """
     # Imported lazily: repro.engine imports this module at load time.
     from ..engine.backends import get_executor

@@ -106,12 +106,6 @@ class DistTrace:
     def total_messages(self) -> float:
         return float(sum(s.sent.sum() for s in self.steps))
 
-    def phase_messages(self) -> Dict[str, float]:
-        out: Dict[str, float] = {}
-        for s in self.steps:
-            out[s.phase] = out.get(s.phase, 0.0) + float(s.sent.sum())
-        return out
-
 
 @dataclass(frozen=True)
 class RankFailure:

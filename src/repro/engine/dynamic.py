@@ -307,10 +307,6 @@ class DynamicSCC:
         """Condensation out-neighbor cids of component ``cid``."""
         return self._csucc.get(cid, _NO_NEIGHBORS)
 
-    def _predecessors(self, cid: int):
-        """Condensation in-neighbor cids of component ``cid``."""
-        return self._cpred.get(cid, _NO_NEIGHBORS)
-
     def _recount_condensation(
         self,
     ) -> Tuple[Dict[int, Dict[int, int]], Dict[int, Dict[int, int]]]:

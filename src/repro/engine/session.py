@@ -373,10 +373,10 @@ class GraphSession:
         """
         self._check_open()
         from ..core.state import PHASE_RECUR
-        from ..kernels import get_backend
+        from ..kernels import requested_backend
 
         if kernel_backend is None:
-            kernel_backend = get_backend()
+            kernel_backend = requested_backend()
         self.ensure_transpose()  # workers must inherit it copy-on-write
         if self._mirror is None:
             self._mirror = SharedStateMirror(self.graph.num_nodes)

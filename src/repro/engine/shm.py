@@ -167,13 +167,13 @@ def arm_worker_context(
 
     The read-only CSR ``graph`` rides along copy-on-write; the mutable
     arrays and counters come from ``mirror``'s shared segments; the
-    kernel backend pins the parent's resolved choice so workers stay
-    honest even if the pool ever re-execs instead of forking.
+    kernel backend pins the parent's unresolved request so workers
+    stay honest even if the pool ever re-execs instead of forking.
     """
     if kernel_backend is None:
-        from ..kernels import get_backend
+        from ..kernels import requested_backend
 
-        kernel_backend = get_backend()
+        kernel_backend = requested_backend()
     WORKER_CTX.clear()
     WORKER_CTX.update(
         graph=graph,

@@ -183,13 +183,6 @@ def _check_policy(on_error: str) -> None:
         )
 
 
-def _open_text(path: PathLike) -> IO[str]:
-    p = os.fspath(path)
-    if p.endswith(".gz"):
-        return gzip.open(p, "rt", encoding="utf-8", errors="replace")
-    return open(p, "r", encoding="utf-8", errors="replace")
-
-
 def _open_binary(path: PathLike) -> IO[bytes]:
     p = os.fspath(path)
     if p.endswith(".gz"):

@@ -10,8 +10,6 @@ directed WCC kernel against an explicit undirected graph).
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from .build import dedup_edges, from_edge_array
@@ -94,11 +92,3 @@ def symmetrize(g: CSRGraph) -> CSRGraph:
     both_src = np.concatenate([src, dst])
     both_dst = np.concatenate([dst, src])
     return from_edge_array(both_src, both_dst, g.num_nodes, dedup=True)
-
-
-def edge_arrays_from_pairs(pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Split an ``(m, 2)`` pair array into ``(src, dst)`` (convenience)."""
-    pairs = np.asarray(pairs, dtype=np.int64)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValueError("expected an (m, 2) array of pairs")
-    return pairs[:, 0].copy(), pairs[:, 1].copy()

@@ -37,6 +37,7 @@ from .registry import (
     kernel_names,
     numba_available,
     register,
+    requested_backend,
     resolve_backend,
     set_backend,
     use_backend,
@@ -78,6 +79,7 @@ __all__ = [
     "ms_fwbw_intersect",
     "numba_available",
     "register",
+    "requested_backend",
     "resolve_backend",
     "segment_counts",
     "set_backend",

@@ -52,6 +52,7 @@ __all__ = [
     "kernel_names",
     "numba_available",
     "register",
+    "requested_backend",
     "resolve_backend",
     "set_backend",
     "use_backend",
@@ -118,7 +119,7 @@ def resolve_backend(request: Optional[str] = None) -> str:
     """
     global _warned_missing_numba
     if request is None:
-        request = _override or os.environ.get(ENV_VAR) or "auto"
+        request = requested_backend()
     if request not in BACKEND_CHOICES:
         raise ValueError(
             f"unknown kernel backend {request!r}; "
@@ -148,6 +149,14 @@ def set_backend(request: Optional[str]) -> None:
             f"choose from {BACKEND_CHOICES}"
         )
     _override = request
+
+
+def requested_backend() -> str:
+    """The unresolved request: the pin, else ``$REPRO_KERNELS``, else
+    ``auto``.  Worker processes inherit this rather than the resolved
+    name, so a worker re-resolves exactly as the parent does (and an
+    ``auto`` request never turns into a missing-numba warning)."""
+    return _override or os.environ.get(ENV_VAR) or "auto"
 
 
 def get_backend() -> str:
@@ -206,7 +215,7 @@ def backend_info() -> Dict[str, object]:
     ``"numba"`` alongside ``numba_available: false`` was a bug —
     ``auto`` must never claim a backend that cannot be imported.
     """
-    requested = _override or os.environ.get(ENV_VAR) or "auto"
+    requested = requested_backend()
     slot = resolve_backend()
     jit_active = slot == "numba" and numba_available()
     if slot == "numba" and not jit_active:

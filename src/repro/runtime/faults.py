@@ -356,13 +356,6 @@ class FaultPlan:
             and (stage is None or s.stage == stage)
         )
 
-    def has_only_corruptions(self) -> bool:
-        """True when every spec is a ``corrupt`` (integrity drills
-        need no supervised backend — detection is the engine's job)."""
-        return bool(self.specs) and all(
-            s.kind == "corrupt" for s in self.specs
-        )
-
     # -- misc ----------------------------------------------------------
     def __len__(self) -> int:
         return len(self.specs)

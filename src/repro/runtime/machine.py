@@ -117,9 +117,6 @@ class SimResult:
     #: per task-phase queue statistics (max depths, utilization).
     queue_stats: Dict[str, QueueStats] = field(default_factory=dict)
 
-    def phase_fraction(self, phase: str) -> float:
-        return self.phase_times.get(phase, 0.0) / self.total_time
-
 
 class Machine:
     """Replays work traces on a :class:`MachineConfig`."""

@@ -368,19 +368,11 @@ def _plan_tuple_batches(pending, policy):
     return entries
 
 
-def _dead_workers(pool) -> int:
-    """Count dead worker processes in a raw :class:`multiprocessing.Pool`
-    (kept for callers holding one; :class:`~repro.engine.pool.WorkerPool`
-    exposes the same check as a method)."""
-    procs = getattr(pool, "_pool", None) or []
-    return sum(1 for p in procs if not p.is_alive())
-
-
 def _executor_resources(state, num_workers: int, session):
     """The mirror/pool pair for one run: the session's warm pair, or an
     ephemeral one the caller must tear down (``owns=True``)."""
     from ..core.state import PHASE_RECUR
-    from ..kernels import get_backend
+    from ..kernels import requested_backend
     from . import faults as _faults
 
     # A globally installed fault plan (faults.install_plan) rides
@@ -390,7 +382,7 @@ def _executor_resources(state, num_workers: int, session):
         mirror, pool = session.executor_resources(
             num_workers=num_workers,
             faults=plan,
-            kernel_backend=get_backend(),
+            kernel_backend=requested_backend(),
         )
         return mirror, pool, False
 
@@ -404,7 +396,7 @@ def _executor_resources(state, num_workers: int, session):
             cost=state.cost,
             phase_id=PHASE_RECUR,
             faults=plan,
-            kernel_backend=get_backend(),
+            kernel_backend=requested_backend(),
         )
 
     pool = WorkerPool(num_workers, arm=arm)

@@ -242,9 +242,7 @@ def run_supervised_recur_phase(
                 phase=phase,
                 pivot_strategy=pivot_strategy,
                 backend="serial",
-                phase2_batch=(
-                    phase2_batch if phase2_batch is not None else False
-                ),
+                phase2_batch=phase2_batch,
             )
         profile.bump("supervisor_degrade_" + reason)
 
@@ -302,13 +300,13 @@ def run_supervised_recur_phase(
 def _supervised_resources(state, num_workers: int, cfg, session):
     """The mirror/pool pair for a supervised run (warm or ephemeral)."""
     from ..core.state import PHASE_RECUR
-    from ..kernels import get_backend
+    from ..kernels import requested_backend
 
     if session is not None:
         mirror, pool = session.executor_resources(
             num_workers=num_workers,
             faults=cfg.fault_plan,
-            kernel_backend=get_backend(),
+            kernel_backend=requested_backend(),
         )
         return mirror, pool, False
 
@@ -322,7 +320,7 @@ def _supervised_resources(state, num_workers: int, cfg, session):
             cost=state.cost,
             phase_id=PHASE_RECUR,
             faults=cfg.fault_plan,
-            kernel_backend=get_backend(),
+            kernel_backend=requested_backend(),
         )
 
     pool = WorkerPool(num_workers, arm=arm)

@@ -361,6 +361,7 @@ class SCCService:
         self.retried = 0
         self.degraded_runs = 0
         self.transport_errors = 0
+        self._transport_lock = threading.Lock()
         self.integrity_detected = 0
         self.integrity_quarantines = 0
         self.certificates_issued = 0
@@ -1425,8 +1426,12 @@ class SCCService:
         }
 
     def note_transport_error(self) -> None:
-        """Record a client that vanished mid-read/mid-response."""
-        self.transport_errors += 1
+        """Record a client that vanished mid-read/mid-response.
+
+        Socket handler threads call this concurrently, so the
+        read-modify-write runs under a lock."""
+        with self._transport_lock:
+            self.transport_errors += 1
 
     def write_report(self, path) -> None:
         """Atomically publish the final stats report (drain epilogue).

@@ -56,15 +56,24 @@ CHILD = textwrap.dedent(
         ).run(g)
         raise SystemExit("hook never fired")
     elif mode == "kill-mid-phase2":
+        # The drain runs single tasks and multi-source batches; count
+        # both in items and die on the call that holds task 5 (mid-
+        # drain, after earlier tasks committed real SCCs).
         import repro.core.recurfwbw as rf
-        real = rf.recur_fwbw_task
+        real, real_batch = rf.recur_fwbw_task, rf.recur_fwbw_batch_task
         count = [0]
         def lethal(state, item, **kw):
             count[0] += 1
-            if count[0] == 5:   # mid-drain, after real SCC commits
+            if count[0] >= 5:
                 die()
             return real(state, item, **kw)
+        def lethal_batch(state, items, **kw):
+            count[0] += len(items)
+            if count[0] >= 5:
+                die()
+            return real_batch(state, items, **kw)
         rf.recur_fwbw_task = lethal
+        rf.recur_fwbw_batch_task = lethal_batch
         RunHarness(
             "method2", seed=9, checkpoint_dir=ckpt_dir
         ).run(g)
