@@ -898,8 +898,6 @@ def _cmd_batch(args) -> int:
         return 2
     fault_plan = None
     if args.fault_plan:
-        import dataclasses
-
         from .runtime import FaultPlan
 
         try:
@@ -910,15 +908,7 @@ def _cmd_batch(args) -> int:
         # This flag injects at the per-job boundary; the parser's
         # default site is the task kernel, so pin every spec to "job"
         # (per-task injection belongs in a job's own fault_plan field).
-        # "phase"-site corrupt specs — the only legal site for
-        # run-owned labels/color — keep their site and fire at phase
-        # boundaries inside every job's run.
-        fault_plan = FaultPlan(
-            s
-            if s.kind == "corrupt" and s.site == "phase"
-            else dataclasses.replace(s, site="job")
-            for s in parsed.specs
-        )
+        fault_plan = parsed.pinned("job")
 
     if args.job_timeout is not None:
         import dataclasses
@@ -997,8 +987,6 @@ def _cmd_serve(args) -> int:
 
     fault_plan = None
     if args.fault_plan:
-        import dataclasses
-
         from .runtime import FaultPlan
 
         try:
@@ -1007,15 +995,8 @@ def _cmd_serve(args) -> int:
             print(f"error: bad --fault-plan: {exc}", file=sys.stderr)
             return 2
         # This flag injects at the per-request boundary (index = the
-        # request's admission sequence number).  "phase"-site corrupt
-        # specs — the only legal site for run-owned labels/color —
-        # keep their site and fire inside every request's run.
-        fault_plan = FaultPlan(
-            s
-            if s.kind == "corrupt" and s.site == "phase"
-            else dataclasses.replace(s, site="request")
-            for s in parsed.specs
-        )
+        # request's admission sequence number).
+        fault_plan = parsed.pinned("request")
     governor = None
     if args.soft_limit_mb is not None or args.hard_limit_mb is not None:
         governor = GovernorConfig(

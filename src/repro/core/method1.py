@@ -21,7 +21,7 @@ from typing import List
 from ..graph import CSRGraph
 from ..runtime.cost import CostModel, DEFAULT_COST_MODEL
 from .parfwbw import par_fwbw
-from .phases import PhaseSpec, run_plan
+from .phases import PhaseSpec, run_method
 from .recurfwbw import collect_color_sets, run_recur_phase
 from .result import SCCResult
 from .state import SCCState
@@ -93,12 +93,4 @@ def method1_scc(
     **kwargs,
 ) -> SCCResult:
     """Algorithm 6.  See :func:`repro.core.api.strongly_connected_components`."""
-    state = SCCState(g, seed=seed, cost=cost)
-    run_plan(state, method1_phases(**kwargs))
-    state.check_done()
-    return SCCResult(
-        labels=state.labels,
-        method="method1",
-        profile=state.profile,
-        phase_of=state.phase_of,
-    )
+    return run_method("method1", SCCState(g, seed=seed, cost=cost), **kwargs)

@@ -18,7 +18,7 @@ from typing import List
 from ..graph import CSRGraph
 from ..runtime.cost import CostModel, DEFAULT_COST_MODEL
 from .parfwbw import par_fwbw
-from .phases import PhaseSpec, run_plan
+from .phases import PhaseSpec, run_method
 from .recurfwbw import run_recur_phase
 from .result import SCCResult
 from .state import SCCState
@@ -113,12 +113,4 @@ def method2_scc(
     **kwargs,
 ) -> SCCResult:
     """Algorithm 9.  See :func:`repro.core.api.strongly_connected_components`."""
-    state = SCCState(g, seed=seed, cost=cost)
-    run_plan(state, method2_phases(**kwargs))
-    state.check_done()
-    return SCCResult(
-        labels=state.labels,
-        method="method2",
-        profile=state.profile,
-        phase_of=state.phase_of,
-    )
+    return run_method("method2", SCCState(g, seed=seed, cost=cost), **kwargs)

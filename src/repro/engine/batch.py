@@ -389,7 +389,7 @@ def _run_job(
 ):
     """One job body: resolve the session, run, return the essentials."""
     from ..errors import IntegrityError
-    from ..runtime.faults import FaultPlan, apply_corruption
+    from ..runtime.faults import arm_corruptions, split_fault_plan
     from ..runtime.supervisor import SupervisorConfig
 
     session = engine.load(
@@ -397,49 +397,17 @@ def _run_job(
     )
     backend = job.backend
     supervisor = None
-    run_fault_plan = None
-    corrupt_specs = []
-    if job.fault_plan:
-        plan = FaultPlan.parse(job.fault_plan)
-        # job-carried specs target *this* job regardless of site/index.
-        corrupt_specs += [s for s in plan.specs if s.kind == "corrupt"]
-        rest = [s for s in plan.specs if s.kind != "corrupt"]
-        if rest:
-            # only the supervised backend recovers from the rest.
-            backend = "supervised"
-            supervisor = SupervisorConfig(fault_plan=FaultPlan(rest))
-    if batch_plan is not None:
-        # batch-level --fault-plan: "job"-site corruptions pick their
-        # job by manifest position; "phase"-site ones (the only legal
-        # site for run-owned labels/color) ride along into every job.
-        corrupt_specs += list(
-            batch_plan.corruptions("job", job_index, attempt)
-        )
-        corrupt_specs += [
-            s
-            for s in batch_plan.specs
-            if s.kind == "corrupt" and s.site == "phase"
-        ]
-    if corrupt_specs:
-        # "phase"-site corruptions fire at exact phase boundaries
-        # inside the engine; anything else rots the warm session right
-        # now (attempt < times, so the default 1 lets the retry's
-        # rebuilt session through clean).
-        phase_specs = [
-            s
-            for s in corrupt_specs
-            if s.site == "phase" and attempt < s.times
-        ]
-        if phase_specs:
-            run_fault_plan = FaultPlan(phase_specs)
-        for spec in corrupt_specs:
-            if spec.site == "phase" or attempt >= spec.times:
-                continue
-            if spec.array in ("in_indptr", "in_indices"):
-                session.ensure_transpose()
-            elif spec.array in ("out_degrees", "in_degrees"):
-                session.effective_degrees()
-            apply_corruption(session.integrity_arrays()[spec.array], spec)
+    carried, rest = split_fault_plan(job.fault_plan)
+    if rest is not None:
+        # only the supervised backend recovers from the rest.
+        backend = "supervised"
+        supervisor = SupervisorConfig(fault_plan=rest)
+    # batch-level --fault-plan: "job"-site corruptions pick their job
+    # by manifest position; "phase"-site ones (the only legal site for
+    # run-owned labels/color) ride along into every job.
+    run_fault_plan = arm_corruptions(
+        session, attempt, carried, batch_plan, site="job", index=job_index
+    )
     runs_before = session.stats.runs
     warm_before = session.stats.warm_runs
 

@@ -32,10 +32,15 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..core.phases import run_method
 from ..core.result import SCCResult, canonical_labels
+from ..core.state import SCCState
+from ..errors import PhaseTimeoutError
 from ..graph import CSRGraph
+from ..integrity.checksums import PhaseIntegrity
 from ..ioutil import crc32_chunks
 from ..runtime.cost import CostModel, DEFAULT_COST_MODEL
+from ..runtime.faults import PhaseFaults
 from .backends import get_executor
 from .session import GraphSession, graph_fingerprint
 
@@ -45,30 +50,19 @@ __all__ = ["Engine", "UpdateReport"]
 _SEQUENTIAL = ("tarjan", "kosaraju", "gabow")
 
 
-def _bound_plan(plan, expiry: float, budget: float):
-    """Wrap every phase of ``plan`` with a deadline check.
+class _Deadline:
+    """Phase-plan hook failing a run typed at the first phase entry
+    past ``expiry`` — cooperative, thread-safe, no signals — instead
+    of overshooting by a whole phase.  In-phase enforcement comes from
+    the deadline-aware phase-2 executors via ``ctx["deadline"]``."""
 
-    The check runs at phase *entry* — cooperative, thread-safe, no
-    signals — so a run whose earlier phases consumed the budget fails
-    typed before starting the next phase instead of overshooting by a
-    whole phase.  In-phase enforcement comes from the deadline-aware
-    phase-2 executors via ``ctx["deadline"]``.
-    """
-    import dataclasses
+    def __init__(self, expiry: float, budget: float) -> None:
+        self.expiry = expiry
+        self.budget = budget
 
-    from ..errors import PhaseTimeoutError
-
-    def bound(ph):
-        inner = ph.fn
-
-        def fn(state, ctx, _inner=inner, _name=ph.name):
-            if time.monotonic() >= expiry:
-                raise PhaseTimeoutError(_name, budget)
-            return _inner(state, ctx)
-
-        return dataclasses.replace(ph, fn=fn)
-
-    return [bound(ph) for ph in plan]
+    def pre(self, i, ph, state, ctx) -> None:
+        if time.monotonic() >= self.expiry:
+            raise PhaseTimeoutError(ph.name, self.budget)
 
 
 def _method2_labels(g: CSRGraph) -> np.ndarray:
@@ -359,9 +353,9 @@ class Engine:
         phase boundary and threaded into the deadline-aware phase-2
         executors (cooperative — safe from any thread); expiry raises
         :class:`~repro.errors.PhaseTimeoutError`.  ``fault_plan`` arms
-        ``corrupt``-kind faults at the ``"phase"`` site for the
-        pipelines — seeded bit flips driven into warm arrays at exact
-        phase boundaries, the silent-data-corruption drill the
+        faults at the ``"phase"`` site for the pipelines — chiefly
+        ``corrupt`` specs, seeded bit flips driven into warm arrays at
+        exact phase boundaries, the silent-data-corruption drill the
         integrity sidecars must catch.  Remaining keywords flow to the
         method (``queue_k``, ``pivot_strategy``, ...).
         """
@@ -381,16 +375,27 @@ class Engine:
         setup_before = session.stats.setup_seconds()
         was_run = session.stats.runs > 0
         if method in ("method1", "method2"):
-            result = self._run_plan(
-                session,
+            session.ensure_transpose()
+            state = SCCState(session.graph, seed=seed, cost=cost)
+            ctx: dict = {"session": session}
+            # Faults outermost: a "pre" flip lands before the phase-
+            # entry verify, "mid"/"post" flips after the state reseal.
+            hooks = []
+            if fault_plan is not None:
+                hooks.append(PhaseFaults(fault_plan))
+            if session.checksums is not None:
+                hooks.append(PhaseIntegrity(session, state))
+            if deadline is not None:
+                ctx["deadline"] = time.monotonic() + deadline
+                hooks.append(_Deadline(ctx["deadline"], deadline))
+            result = run_method(
                 method,
+                state,
+                ctx,
+                hooks=hooks,
                 backend=backend,
-                num_workers=num_workers,
-                seed=seed,
-                cost=cost,
+                num_threads=num_workers,
                 supervisor=supervisor,
-                deadline=deadline,
-                fault_plan=fault_plan,
                 **method_kwargs,
             )
         else:
@@ -411,141 +416,6 @@ class Engine:
         if canonical:
             result.labels = canonical_labels(result.labels)
         return result
-
-    def _integrity_plan(self, plan, session, state, fault_plan):
-        """Wrap every phase with the silent-corruption defenses.
-
-        Two independent jobs share the wrapper because they must agree
-        on ordering:
-
-        * ``corrupt``-kind faults at the ``"phase"`` site flip seeded
-          bits in warm arrays: ``pre``-stage before the phase's entry
-          verification (caught immediately), ``mid``/``post`` after the
-          phase's state reseal (caught at the next boundary or the
-          final verification) — exactly where real rot lands, between
-          the moments anything looks.
-        * When the session carries checksum sidecars, a run-local
-          sidecar seals the mutable :class:`SCCState` arrays (labels,
-          colours) after every phase and re-verifies graph + state
-          seals at every phase entry, so corruption never crosses a
-          phase boundary undetected.
-
-        Returns ``(wrapped_plan, final_verify)``; ``final_verify``
-        runs after the plan completes, before the result escapes.
-        """
-        import dataclasses
-
-        from ..errors import IntegrityError
-        from ..runtime.faults import apply_corruption
-
-        run_cs = None
-        if session.checksums is not None:
-            from ..integrity import ChecksummedArrays
-
-            run_cs = ChecksummedArrays()
-            # seal the fresh state immediately: a flip landing before
-            # the first phase must not be absorbed into the baseline.
-            run_cs.seal("labels", state.labels)
-            run_cs.seal("color", state.color)
-
-        def resolve(name):
-            if name in ("labels", "color"):
-                return getattr(state, name)
-            if name in ("out_degrees", "in_degrees"):
-                session.effective_degrees()
-            return session.integrity_arrays()[name]
-
-        def corrupt(index, stages):
-            if fault_plan is None:
-                return
-            for spec in fault_plan.corruptions("phase", index):
-                if spec.stage in stages:
-                    apply_corruption(resolve(spec.array), spec)
-
-        def reseal():
-            if run_cs is not None:
-                run_cs.seal("labels", state.labels)
-                run_cs.seal("color", state.color)
-
-        def verify(context):
-            session.verify_integrity(context=context)
-            if run_cs is None:
-                return
-            try:
-                run_cs.verify("labels", state.labels, context=context)
-                run_cs.verify("color", state.color, context=context)
-            except IntegrityError:
-                session.stats.integrity_failures += 1
-                raise
-            session.stats.integrity_verifications += 2
-
-        def wrap(i, ph):
-            inner = ph.fn
-
-            def fn(st, ctx, _inner=inner, _i=i, _name=ph.name):
-                corrupt(_i, ("pre",))
-                verify(f"phase[{_i}]:{_name}")
-                out = _inner(st, ctx)
-                reseal()
-                corrupt(_i, ("mid", "post"))
-                return out
-
-            return dataclasses.replace(ph, fn=fn)
-
-        wrapped = [wrap(i, ph) for i, ph in enumerate(plan)]
-        return wrapped, (lambda: verify("run:final"))
-
-    def _run_plan(
-        self,
-        session: GraphSession,
-        method: str,
-        *,
-        backend: str,
-        num_workers: int,
-        seed: int | None,
-        cost: CostModel,
-        supervisor,
-        deadline: float | None = None,
-        fault_plan=None,
-        **method_kwargs,
-    ) -> SCCResult:
-        from ..core.method1 import method1_phases
-        from ..core.method2 import method2_phases
-        from ..core.phases import run_plan
-        from ..core.state import SCCState
-
-        factory = {
-            "method1": method1_phases,
-            "method2": method2_phases,
-        }[method]
-        session.ensure_transpose()
-        plan = factory(
-            backend=backend,
-            num_threads=num_workers,
-            supervisor=supervisor,
-            **method_kwargs,
-        )
-        ctx: dict = {"session": session}
-        if deadline is not None:
-            expiry = time.monotonic() + deadline
-            plan = _bound_plan(plan, expiry, deadline)
-            ctx["deadline"] = expiry
-        state = SCCState(session.graph, seed=seed, cost=cost)
-        final_verify = None
-        if session.checksums is not None or fault_plan is not None:
-            plan, final_verify = self._integrity_plan(
-                plan, session, state, fault_plan
-            )
-        run_plan(state, plan, ctx)
-        if final_verify is not None:
-            final_verify()
-        state.check_done()
-        return SCCResult(
-            labels=state.labels,
-            method=method,
-            profile=state.profile,
-            phase_of=state.phase_of,
-        )
 
     def _run_other(
         self,

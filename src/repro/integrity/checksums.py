@@ -28,7 +28,7 @@ import numpy as np
 
 from ..errors import IntegrityError
 
-__all__ = ["DEFAULT_BLOCK_BYTES", "ChecksummedArrays"]
+__all__ = ["DEFAULT_BLOCK_BYTES", "ChecksummedArrays", "PhaseIntegrity"]
 
 #: block size for the CRC sidecars; 64 KB keeps sidecar overhead
 #: ~0.006% of the data while still localizing a mismatch.
@@ -187,3 +187,38 @@ class ChecksummedArrays:
             f"{self.verifications} verified, "
             f"{self.mismatches} mismatched)"
         )
+
+
+class PhaseIntegrity:
+    """Phase-plan hook (:func:`repro.core.phases.run_plan`): a
+    run-local sidecar seals the run's labels and colours on creation
+    and after every phase, and the session's and the run's seals are
+    verified at every phase entry and after the last phase, so
+    corruption never crosses a phase boundary undetected."""
+
+    def __init__(self, session, state) -> None:
+        self.session = session
+        self.seals = ChecksummedArrays()
+        # seal now: a flip before the first phase must not become
+        # the baseline.
+        self.mid(None, None, state, None)
+
+    def _verify(self, state, context: str) -> None:
+        self.session.verify_integrity(context=context)
+        try:
+            self.seals.verify("labels", state.labels, context=context)
+            self.seals.verify("color", state.color, context=context)
+        except IntegrityError:
+            self.session.stats.integrity_failures += 1
+            raise
+        self.session.stats.integrity_verifications += 2
+
+    def pre(self, i, ph, state, ctx) -> None:
+        self._verify(state, f"phase[{i}]:{ph.name}")
+
+    def mid(self, i, ph, state, ctx) -> None:
+        self.seals.seal("labels", state.labels)
+        self.seals.seal("color", state.color)
+
+    def final(self, state, ctx) -> None:
+        self._verify(state, "run:final")

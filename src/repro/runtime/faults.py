@@ -19,12 +19,14 @@ Injection sites:
   backend numbers every dispatch with a monotone sequence id.
 * ``"queue"`` — the threaded :class:`~repro.runtime.workqueue.
   TwoLevelWorkQueue` worker loop (tasks numbered in start order).
-* ``"phase"`` — the run-lifecycle harness
-  (:class:`~repro.runtime.lifecycle.RunHarness`); the index is the
-  phase position in the plan and the stage maps to the checkpoint
-  boundary (``"pre"`` = phase entry, ``"mid"`` = phase done but
-  checkpoint not yet written, ``"post"`` = checkpoint published) —
-  the kill-and-resume tests crash the run at exact boundaries.
+* ``"phase"`` — a phase plan run by :meth:`Engine.run
+  <repro.engine.Engine.run>` or the run-lifecycle harness
+  (:class:`~repro.runtime.lifecycle.RunHarness`), through the
+  :class:`PhaseFaults` hook; the index is the phase position in the
+  plan and the stage maps to the checkpoint boundary (``"pre"`` =
+  phase entry, ``"mid"`` = phase done but checkpoint not yet written,
+  ``"post"`` = checkpoint published) — the kill-and-resume tests
+  crash the run at exact boundaries.
 * ``"job"`` — the batch runner (:func:`repro.engine.batch.run_batch`);
   the index is the job position in the manifest, and the attempt
   number is the job's retry attempt, so a transient fault with the
@@ -66,8 +68,9 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from functools import partialmethod
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,6 +83,10 @@ __all__ = [
     "FaultSpec",
     "FaultPlan",
     "apply_corruption",
+    "arm_corruptions",
+    "corruption_target",
+    "split_fault_plan",
+    "PhaseFaults",
     "install_plan",
     "clear_plan",
     "active_plan",
@@ -258,6 +265,17 @@ class FaultPlan:
             )
         return cls(specs)
 
+    def pinned(self, site: str) -> "FaultPlan":
+        """Every spec moved to ``site``, except ``"phase"``-site
+        ``corrupt`` specs — the only legal site for run-owned
+        labels/color — which keep firing at phase boundaries."""
+        return FaultPlan(
+            s
+            if s.kind == "corrupt" and s.site == "phase"
+            else replace(s, site=site)
+            for s in self.specs
+        )
+
     # -- matching ------------------------------------------------------
     def match(
         self, site: str, index: int, attempt: int = 0
@@ -396,6 +414,91 @@ def apply_corruption(array: np.ndarray, spec: FaultSpec) -> List[int]:
     for pos in positions:
         raw[int(pos) // 8] ^= np.uint8(1 << (int(pos) % 8))
     return [int(p) for p in positions]
+
+
+def corruption_target(session, name: str, state=None) -> np.ndarray:
+    """The live array a ``corrupt`` spec named ``name`` flips: the
+    run's ``labels``/``color`` on ``state``, else the warm session
+    array (its transpose or degrees are built first)."""
+    if name in ("labels", "color"):
+        return getattr(state, name)
+    if name in ("in_indptr", "in_indices"):
+        session.ensure_transpose()
+    elif name in ("out_degrees", "in_degrees"):
+        session.effective_degrees()
+    return session.integrity_arrays()[name]
+
+
+def split_fault_plan(
+    text: Optional[str],
+) -> Tuple[Tuple[FaultSpec, ...], Optional[FaultPlan]]:
+    """A job's or request's own plan string -> ``(corrupt specs, the
+    rest or None)``; only the supervised backend recovers from the
+    rest, so callers route it into a ``SupervisorConfig``."""
+    specs = FaultPlan.parse(text).specs if text else ()
+    rest = [s for s in specs if s.kind != "corrupt"]
+    corrupt = tuple(s for s in specs if s.kind == "corrupt")
+    return corrupt, (FaultPlan(rest) if rest else None)
+
+
+def arm_corruptions(
+    session,
+    attempt: int,
+    carried: Sequence[FaultSpec] = (),
+    plan: Optional[FaultPlan] = None,
+    *,
+    site: str,
+    index: int,
+) -> Optional[FaultPlan]:
+    """Apply one attempt's ``corrupt`` drill to a warm session.
+
+    ``carried`` specs come from the job or request itself and hit it
+    whatever their site and index; the batch- or service-wide
+    ``plan`` hits by ``(site, index)``, and its ``"phase"``-site specs
+    hit every run.  ``times`` bounds the attempts hit, so the default
+    1 lets a retry's rebuilt session through clean.  Non-phase specs
+    flip the session now; the phase-site ones are returned as the plan
+    :meth:`Engine.run <repro.engine.Engine.run>` fires at phase
+    boundaries (``None`` when there are none).
+    """
+    armed = list(carried)
+    if plan is not None:
+        armed += plan.corruptions(site, index, attempt)
+        armed += [s for s in plan.specs if s.site == "phase"]
+    phase = []
+    for spec in armed:
+        if spec.kind != "corrupt" or attempt >= spec.times:
+            continue
+        if spec.site == "phase":
+            phase.append(spec)
+        else:
+            apply_corruption(corruption_target(session, spec.array), spec)
+    return FaultPlan(phase) if phase else None
+
+
+class PhaseFaults:
+    """Phase-plan hook (:func:`repro.core.phases.run_plan`) for the
+    ``"phase"`` site: at each stage it fires the plan's crash, hang
+    and raise faults, flips its ``corrupt`` specs into the session's
+    or the run's arrays, then calls ``phase_hook(phase_name, stage)``.
+    """
+
+    def __init__(self, plan: Optional[FaultPlan], phase_hook=None) -> None:
+        self.plan = plan
+        self.phase_hook = phase_hook
+
+    def _at(self, stage: str, i: int, ph, state, ctx) -> None:
+        if self.plan is not None:
+            self.plan.fire("phase", i, stage=stage)
+            for spec in self.plan.corruptions("phase", i, stage=stage):
+                target = corruption_target(ctx["session"], spec.array, state)
+                apply_corruption(target, spec)
+        if self.phase_hook is not None:
+            self.phase_hook(ph.name, stage)
+
+    pre = partialmethod(_at, "pre")
+    mid = partialmethod(_at, "mid")
+    post = partialmethod(_at, "post")
 
 
 # ---------------------------------------------------------------------------

@@ -1,39 +1,39 @@
 """Run lifecycle: checkpointed, resumable, deadline-bounded SCC runs.
 
-PR 1 hardened the *task* level (supervised workers, bounded retries);
-this layer hardens the *run* level.  A :class:`RunHarness` executes the
-Method 1/2 phase plans (:mod:`repro.core.phases`) and, at every phase
-boundary, publishes an atomic, CRC-verified checkpoint containing
-everything the next phase needs:
+The supervisor hardens the *task*; this layer hardens the *run*.  A
+:class:`RunHarness` drives the Method 1/2 phase plans through the one
+phase loop, :func:`repro.core.phases.run_plan`, with these hooks,
+outermost first:
 
-* the :class:`~repro.core.state.SCCState` arrays (``color``, ``mark``,
-  ``labels``, ``phase_of``) and counters,
-* the phase-2 work-queue contents (the ``(color, nodes)`` items),
-* the pivot RNG state — restoring it makes a resumed run re-draw the
-  exact pivot sequence, so resumed labels are **bit-identical** to an
-  uninterrupted run (serial phase-2 driver),
-* the run configuration and a CRC fingerprint of the input graph.
+* **checkpoints** — after every phase, an atomic, CRC-verified
+  checkpoint of everything the next phase needs: the
+  :class:`~repro.core.state.SCCState` arrays and counters, the phase-2
+  work queue, the pivot RNG state (so a resumed run re-draws the exact
+  pivot sequence and its labels are **bit-identical** to an
+  uninterrupted run's), the run configuration and a CRC fingerprint of
+  the input graph;
+* **phase faults** — ``fault_plan``'s ``"phase"``-site faults, then
+  ``phase_hook`` (:class:`~repro.runtime.faults.PhaseFaults`);
+* **per-phase deadlines** — ``phase_timeout`` arms the SIGALRM
+  watchdog plus a cooperative deadline threaded into the phase-2
+  drivers; a wedged phase raises :class:`~repro.errors.
+  PhaseTimeoutError` instead of hanging forever;
+* **backend degradation** — when the phase-2 executor fails (pool
+  broken, fork unavailable, deadline exceeded), the state rolls back
+  to the phase entry and the phase retries on the next backend down
+  the chain ``supervised -> processes -> serial``;
+* **integrity** — on a session with checksums, the
+  :class:`~repro.integrity.checksums.PhaseIntegrity` hook
+  :meth:`Engine.run <repro.engine.Engine.run>` also uses verifies the
+  session's and the run's arrays at every phase boundary.
 
 A run killed at any point (power loss, OOM killer, SIGKILL) resumes
 with ``RunHarness.from_checkpoint(...)`` / ``repro run --resume`` at
 the first incomplete phase; a torn or bit-rotted checkpoint is detected
 by its CRC and the harness falls back to the newest older checkpoint
-that verifies.
-
-Two more run-level defences:
-
-* **per-phase deadlines** — ``phase_timeout`` arms the same SIGALRM
-  watchdog machinery the test suite uses, plus a cooperative deadline
-  threaded into the phase-2 drivers; a wedged phase raises
-  :class:`~repro.errors.PhaseTimeoutError` instead of hanging forever;
-* **backend degradation** — when the phase-2 executor fails repeatedly
-  (pool broken, fork unavailable, deadline exceeded), the state rolls
-  back to the phase entry snapshot and the phase retries on the next
-  backend down the chain ``supervised -> processes -> serial``.
-
-Every run finishes with the PR-1 self-verification gate
-(:meth:`SCCState.check_invariants`); resumed or degraded runs are
-additionally cross-checked against an independent Tarjan run.
+that verifies.  Every run finishes with the self-verification gate
+(:meth:`SCCState.check_invariants`); resumed, degraded or fault-drilled
+runs are additionally cross-checked against an independent Tarjan run.
 """
 
 from __future__ import annotations
@@ -82,7 +82,6 @@ DEGRADE_CHAIN = {
     "processes": "serial",
     "threads": "serial",
 }
-_DEGRADE_CHAIN = DEGRADE_CHAIN
 
 #: checkpointed array payload, in CRC order.
 _CKPT_ARRAYS = (
@@ -428,22 +427,6 @@ class RunHarness:
         params.update(overrides)
         return cls(meta["method"], **params)
 
-    # -- plan -----------------------------------------------------------
-    def _plan(self):
-        from ..core.method1 import method1_phases
-        from ..core.method2 import method2_phases
-
-        factory = {
-            "method1": method1_phases,
-            "method2": method2_phases,
-        }[self.method]
-        return factory(
-            backend=self.backend,
-            num_threads=self.num_threads,
-            supervisor=self.supervisor,
-            **self.method_kwargs,
-        )
-
     # -- entry points ---------------------------------------------------
     def _session_of(
         self, g: Union[CSRGraph, GraphSession]
@@ -473,16 +456,13 @@ class RunHarness:
 
         session, owns = self._session_of(g)
         g = session.graph
-        plan = self._plan()
         self.report = RunReport(method=self.method)
         if self.checkpoint_dir is not None:
             os.makedirs(self.checkpoint_dir, exist_ok=True)
             save_npz(g, os.path.join(self.checkpoint_dir, GRAPH_FILENAME))
         state = SCCState(g, seed=self.seed, cost=self.cost)
         try:
-            return self._execute(
-                g, state, {"session": session}, plan, 0
-            )
+            return self._execute(state, {"session": session})
         finally:
             if owns:
                 session.close()
@@ -548,15 +528,6 @@ class RunHarness:
                 path=path,
             )
         try:
-            plan = self._plan()
-            if [ph.name for ph in plan] != list(meta["plan"]):
-                raise CheckpointError(
-                    f"phase plan mismatch: checkpoint has {meta['plan']}, "
-                    f"current configuration builds "
-                    f"{[ph.name for ph in plan]}",
-                    path=path,
-                )
-
             state = SCCState(g, seed=self.seed, cost=self.cost)
             state.restore(
                 StateSnapshot(
@@ -577,27 +548,17 @@ class RunHarness:
             if meta.get("ctx_backend"):
                 ctx["backend"] = meta["ctx_backend"]
 
-            start = int(meta["phase_index"]) + 1
             self.report = RunReport(
                 method=self.method,
                 resumed_from=path,
-                resumed_phase=(
-                    plan[start].name if start < len(plan) else None
-                ),
                 degraded_to=meta.get("ctx_backend"),
             )
-            return self._execute(g, state, ctx, plan, start)
+            return self._execute(state, ctx, meta)
         finally:
             if owns:
                 session.close()
 
     # -- internals ------------------------------------------------------
-    def _fire(self, index: int, name: str, stage: str) -> None:
-        if self.fault_plan is not None:
-            self.fault_plan.fire("phase", index, stage=stage)
-        if self.phase_hook is not None:
-            self.phase_hook(name, stage)
-
     def _save_checkpoint(
         self, state, ctx, plan, phase_index: int, graph_crc: int
     ) -> str:
@@ -650,73 +611,47 @@ class RunHarness:
 
         return str(backend_info()["resolved"])
 
-    def _execute(self, g, state, ctx, plan, start: int):
+    def _execute(self, state, ctx, meta: Optional[dict] = None):
+        """Run the plan on ``state`` — from the start, or after the
+        phase a checkpoint's ``meta`` recorded — and verify the end
+        result."""
+        from ..core.phases import method_phases, run_plan
         from ..core.result import SCCResult
 
+        plan = method_phases(
+            self.method,
+            backend=self.backend,
+            num_threads=self.num_threads,
+            supervisor=self.supervisor,
+            **self.method_kwargs,
+        )
+        start = 0
         report = self.report
-        graph_crc = _graph_crc(g)
-        profile = state.profile
-        for i in range(start, len(plan)):
-            ph = plan[i]
-            self._fire(i, ph.name, "pre")
-            while True:
-                snap = state.snapshot()
-                rng = state.rng_state()
-                queue_before = ctx.get("queue")
-                if self.phase_timeout is not None:
-                    ctx["deadline"] = (
-                        time.monotonic() + self.phase_timeout
-                    )
-                # The threads backend shares the state arrays with its
-                # workers; only its cooperative deadline (which joins
-                # the workers before raising) may interrupt it.  The
-                # SIGALRM watchdog covers everything else.
-                alarm = self.phase_timeout
-                if (
-                    ph.uses_backend
-                    and ctx.get("backend", self.backend) == "threads"
-                ):
-                    alarm = None
-                try:
-                    with phase_deadline(alarm, ph.name):
-                        with profile.wall_timer(ph.timer):
-                            ph.fn(state, ctx)
-                    break
-                except Exception as exc:
-                    backend_now = ctx.get("backend", self.backend)
-                    degraded = (
-                        _DEGRADE_CHAIN.get(backend_now)
-                        if ph.uses_backend
-                        else None
-                    )
-                    if degraded is None:
-                        raise
-                    # Roll back everything the failed attempt touched
-                    # and retry the phase on the next backend down.
-                    state.restore(snap)
-                    state.set_rng_state(rng)
-                    if queue_before is not None:
-                        ctx["queue"] = queue_before
-                    ctx["backend"] = degraded
-                    report.degradations += 1
-                    report.degraded_to = degraded
-                    profile.bump("lifecycle_degradations")
-                    profile.bump(
-                        "lifecycle_degrade_"
-                        + type(exc).__name__.lower()
-                    )
-                finally:
-                    ctx.pop("deadline", None)
-            report.phases_run.append(ph.name)
-            self._fire(i, ph.name, "mid")
-            if self.checkpoint_dir is not None:
-                with profile.wall_timer("checkpoint"):
-                    path = self._save_checkpoint(
-                        state, ctx, plan, i, graph_crc
-                    )
-                report.checkpoints.append(path)
-                profile.bump("lifecycle_checkpoints")
-            self._fire(i, ph.name, "post")
+        if meta is not None:
+            if [ph.name for ph in plan] != list(meta["plan"]):
+                raise CheckpointError(
+                    f"phase plan mismatch: checkpoint has {meta['plan']}, "
+                    f"current configuration builds "
+                    f"{[ph.name for ph in plan]}",
+                    path=report.resumed_from,
+                )
+            start = int(meta["phase_index"]) + 1
+            if start < len(plan):
+                report.resumed_phase = plan[start].name
+        session = ctx["session"]
+        hooks = [_Checkpoints(self, plan, _graph_crc(state.graph))]
+        if self.fault_plan is not None or self.phase_hook is not None:
+            from .faults import PhaseFaults
+
+            hooks.append(PhaseFaults(self.fault_plan, self.phase_hook))
+        if self.phase_timeout is not None:
+            hooks.append(_PhaseTimeout(self.phase_timeout, self.backend))
+        hooks.append(_Degrade(report, self.backend))
+        if session.checksums is not None:
+            from ..integrity.checksums import PhaseIntegrity
+
+            hooks.append(PhaseIntegrity(session, state))
+        run_plan(state, plan, ctx, hooks=hooks, start=start)
 
         state.check_done()
         if self.verify:
@@ -733,6 +668,90 @@ class RunHarness:
         return SCCResult(
             labels=state.labels,
             method=self.method,
-            profile=profile,
+            profile=state.profile,
             phase_of=state.phase_of,
         )
+
+
+# ---------------------------------------------------------------------------
+# Phase-plan hooks of the harness (see repro.core.phases.run_plan)
+# ---------------------------------------------------------------------------
+class _Checkpoints:
+    """Record each finished phase and publish its checkpoint.  Listed
+    outermost, so its ``mid`` runs after every other hook's ``mid``
+    and before any ``post``."""
+
+    def __init__(self, harness: RunHarness, plan, graph_crc: int) -> None:
+        self.harness = harness
+        self.plan = plan
+        self.graph_crc = graph_crc
+
+    def mid(self, i, ph, state, ctx) -> None:
+        h = self.harness
+        h.report.phases_run.append(ph.name)
+        if h.checkpoint_dir is None:
+            return
+        with state.profile.wall_timer("checkpoint"):
+            path = h._save_checkpoint(state, ctx, self.plan, i, self.graph_crc)
+        h.report.checkpoints.append(path)
+        state.profile.bump("lifecycle_checkpoints")
+
+
+class _PhaseTimeout:
+    """Bound every attempt of a phase by ``seconds``: a cooperative
+    ``ctx["deadline"]`` for the phase-2 drivers plus the SIGALRM
+    watchdog."""
+
+    def __init__(self, seconds: float, backend: str) -> None:
+        self.seconds = seconds
+        self.backend = backend
+
+    @contextmanager
+    def attempt(self, i, ph, state, ctx):
+        ctx["deadline"] = time.monotonic() + self.seconds
+        # The threads backend shares the state arrays with its
+        # workers; only its cooperative deadline (which joins the
+        # workers before raising) may interrupt it.  The SIGALRM
+        # watchdog covers everything else.
+        alarm = self.seconds
+        if ph.uses_backend and ctx.get("backend", self.backend) == "threads":
+            alarm = None
+        try:
+            with phase_deadline(alarm, ph.name):
+                yield
+        finally:
+            ctx.pop("deadline", None)
+
+
+class _Degrade:
+    """When a ``uses_backend`` phase fails, roll the state, the RNG
+    and the work queue back to the phase entry and retry it on the
+    next backend down :data:`DEGRADE_CHAIN`."""
+
+    def __init__(self, report: RunReport, backend: str) -> None:
+        self.report = report
+        self.backend = backend
+        self.entry = None
+
+    def pre(self, i, ph, state, ctx) -> None:
+        # Only these phases can degrade, so only they pay for a copy.
+        if ph.uses_backend:
+            self.entry = (state.snapshot(), state.rng_state(), ctx.get("queue"))
+
+    def retry(self, i, ph, state, ctx, exc) -> bool:
+        if not ph.uses_backend:
+            return False
+        degraded = DEGRADE_CHAIN.get(ctx.get("backend", self.backend))
+        if degraded is None:
+            return False
+        snap, rng, queue = self.entry
+        state.restore(snap)
+        state.set_rng_state(rng)
+        if queue is not None:
+            ctx["queue"] = queue
+        ctx["backend"] = degraded
+        self.report.degradations += 1
+        self.report.degraded_to = degraded
+        state.profile.bump("lifecycle_degradations")
+        state.profile.bump("lifecycle_degrade_" + type(exc).__name__.lower())
+        return True

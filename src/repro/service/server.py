@@ -70,6 +70,8 @@ from ..errors import (
     exit_code_for,
 )
 from ..ioutil import crc32_chunks
+from ..runtime.faults import arm_corruptions, split_fault_plan
+from ..runtime.supervisor import SupervisorConfig
 from .govern import (
     AdmissionConfig,
     AdmissionController,
@@ -1067,83 +1069,15 @@ class SCCService:
             time.monotonic() + float(budget) if budget is not None else None
         )
         supervisor = None
-        corrupt_specs: tuple = ()
-        if request.get("fault_plan"):
-            # per-request chaos drill, exactly like a batch job's
-            # fault_plan field.  ``corrupt`` specs rot the warm arrays
-            # right here (detection is the integrity tier's job, no
-            # supervised backend needed); anything else still forces
-            # the supervised backend.
-            from ..runtime.faults import FaultPlan
-            from ..runtime.supervisor import SupervisorConfig
-
-            plan = FaultPlan.parse(request["fault_plan"])
-            corrupt_specs = tuple(
-                s for s in plan.specs if s.kind == "corrupt"
-            )
-            rest = [s for s in plan.specs if s.kind != "corrupt"]
-            if rest:
-                requested = "supervised"
-                supervisor = SupervisorConfig(fault_plan=FaultPlan(rest))
+        # per-request chaos drill, exactly like a batch job's
+        # fault_plan field.  ``corrupt`` specs rot the warm arrays
+        # (detection is the integrity tier's job, no supervised
+        # backend needed); anything else forces the supervised backend.
+        carried, rest = split_fault_plan(request.get("fault_plan"))
+        if rest is not None:
+            requested = "supervised"
+            supervisor = SupervisorConfig(fault_plan=rest)
         used = [requested]
-
-        def corrupt_session(session, attempt: int) -> None:
-            """Apply armed bit flips to the warm session's arrays.
-
-            Request-carried ``corrupt`` specs target *this* request
-            regardless of their site/index (``times`` still bounds the
-            attempts hit, so the default 1 rots the first attempt and
-            lets the retry's rebuilt session through); the service
-            plan's specs match the ``"request"`` site by admission
-            sequence as usual.  ``"phase"``-site specs are not applied
-            here — they ride into :meth:`Engine.run` to fire at exact
-            phase boundaries.
-            """
-            from ..runtime.faults import apply_corruption
-
-            armed = [
-                s
-                for s in corrupt_specs
-                if s.site != "phase" and attempt < s.times
-            ]
-            if self.fault_plan is not None:
-                armed.extend(
-                    self.fault_plan.corruptions("request", seq, attempt)
-                )
-            for spec in armed:
-                if spec.array in ("labels", "color"):
-                    continue  # run-owned state: use a "phase" plan.
-                if spec.array in ("in_indptr", "in_indices"):
-                    session.ensure_transpose()
-                elif spec.array in ("out_degrees", "in_degrees"):
-                    session.effective_degrees()
-                apply_corruption(
-                    session.integrity_arrays()[spec.array], spec
-                )
-
-        def phase_fault_plan(attempt: int):
-            """The boundary-timed slice of the drill for this attempt
-            (``times``-gated like the direct flips above).  Service-
-            level "phase"-site corrupt specs (from ``--fault-plan``)
-            hit every request's run the same way."""
-            armed = [
-                s
-                for s in corrupt_specs
-                if s.site == "phase" and attempt < s.times
-            ]
-            if self.fault_plan is not None:
-                armed.extend(
-                    s
-                    for s in self.fault_plan.specs
-                    if s.kind == "corrupt"
-                    and s.site == "phase"
-                    and attempt < s.times
-                )
-            if not armed:
-                return None
-            from ..runtime.faults import FaultPlan
-
-            return FaultPlan(armed)
 
         def attempt_fn(attempt: int):
             backend = self.breakers.resolve(requested)
@@ -1168,7 +1102,16 @@ class SCCService:
                     seed=None,
                     on_error=request.get("on_error", "strict"),
                 )
-                corrupt_session(session, attempt)
+                # the service plan's specs match the "request" site by
+                # admission sequence.
+                run_fault_plan = arm_corruptions(
+                    session,
+                    attempt,
+                    carried,
+                    self.fault_plan,
+                    site="request",
+                    index=seq,
+                )
                 runs_before = session.stats.runs
                 warm_before = session.stats.warm_runs
                 try:
@@ -1180,7 +1123,7 @@ class SCCService:
                         seed=request.get("seed", 0),
                         supervisor=supervisor,
                         deadline=remaining,
-                        fault_plan=phase_fault_plan(attempt),
+                        fault_plan=run_fault_plan,
                         **(request.get("options") or {}),
                     )
                     certificate = None
@@ -1711,17 +1654,25 @@ def serve_socket(
     import os
 
     path = os.fspath(path)
-    try:
-        os.unlink(path)
-    except FileNotFoundError:
-        pass
+    # Bind a temporary name and rename it into place once listening:
+    # a client that connects as soon as ``path`` exists is never
+    # refused.
+    tmp = os.path.join(
+        os.path.dirname(path), f".{os.path.basename(path)}.tmp"
+    )
+    for stale in (path, tmp):
+        try:
+            os.unlink(stale)
+        except FileNotFoundError:
+            pass
     stop = threading.Event()
     out_lock = threading.Lock()  # per-connection streams; lock unused
     workers: list = []
     handled = 0
     with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as server:
-        server.bind(path)
+        server.bind(tmp)
         server.listen(16)
+        os.rename(tmp, path)
         server.settimeout(0.1)
         with _drain_signals(service, stop):
             while not stop.is_set():

@@ -7,7 +7,9 @@ every corruptible stage, on both the reference-NumPy and the numba
 kernel tiers.  The flip lands through the arrays' ultimate base (the
 shape real rot takes: bytes change under every guard except the
 checksum), with hypothesis choosing the graph, the target array, the
-phase boundary and which bit.
+phase boundary and which bit.  Both entry points that run a phase
+plan are gated: :meth:`Engine.run` and a :class:`RunHarness` run over
+the engine's warm session.
 """
 
 import numpy as np
@@ -19,9 +21,19 @@ from repro.engine.engine import Engine
 from repro.errors import IntegrityError
 from repro.kernels import use_backend
 from repro.runtime.faults import FaultPlan, FaultSpec
+from repro.runtime.lifecycle import RunHarness
 from tests.conftest import random_digraph, scipy_scc_labels
 
 KERNEL_BACKENDS = ("numpy", "numba")
+ENTRY_POINTS = ("engine", "harness")
+
+
+def run_entry(entry, eng, g, fault_plan=None):
+    """One seeded Method-2 run of ``g`` through ``entry``."""
+    if entry == "engine":
+        return eng.run(g, method="method2", seed=0, fault_plan=fault_plan)
+    harness = RunHarness("method2", seed=0, fault_plan=fault_plan)
+    return harness.run(eng.session(g))
 
 
 @st.composite
@@ -45,30 +57,28 @@ def flip_cases(draw):
     return g, spec
 
 
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
 @pytest.mark.parametrize("kernel", KERNEL_BACKENDS)
 @settings(max_examples=25, deadline=None)
 @given(case=flip_cases())
-def test_single_bit_flip_detected_before_response(kernel, case):
+def test_single_bit_flip_detected_before_response(entry, kernel, case):
     g, spec = case
     with Engine(backend="serial", canonical=True, integrity=True) as eng:
         with use_backend(kernel):
             with pytest.raises(IntegrityError):
-                eng.run(
-                    g,
-                    method="method2",
-                    seed=0,
-                    fault_plan=FaultPlan([spec]),
-                )
+                run_entry(entry, eng, g, FaultPlan([spec]))
 
 
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
 @pytest.mark.parametrize("kernel", KERNEL_BACKENDS)
 @settings(max_examples=25, deadline=None)
 @given(case=flip_cases())
-def test_no_false_positives_on_clean_runs(kernel, case):
+def test_no_false_positives_on_clean_runs(entry, kernel, case):
     """The same graphs, unflipped, must certify cleanly: integrity
     verification never rejects an honest run."""
     g, _ = case
     with Engine(backend="serial", canonical=True, integrity=True) as eng:
         with use_backend(kernel):
-            result = eng.run(g, method="method2", seed=0)
+            result = run_entry(entry, eng, g)
+        assert eng.session(g).stats.integrity_verifications > 0
     assert same_partition(result.labels, scipy_scc_labels(g))

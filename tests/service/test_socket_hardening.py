@@ -121,3 +121,24 @@ def test_normal_requests_unaffected_by_hardening(tmp_path):
     assert resp["ok"]
     assert resp["transport_errors"] == 0
     t.join(timeout=60)
+
+
+def test_socket_path_appears_only_once_listening(tmp_path, monkeypatch):
+    """Clients connect as soon as the path exists (``start_server``
+    polls for it), so the path must not exist before ``listen()``:
+    a connect in that window is refused."""
+    sock_path = str(tmp_path / "svc.sock")
+    existed_at_listen = []
+    real_listen = socket.socket.listen
+
+    def listen(self, *args):
+        existed_at_listen.append(os.path.exists(sock_path))
+        return real_listen(self, *args)
+
+    monkeypatch.setattr(socket.socket, "listen", listen)
+    svc, sock_path, t = start_server(tmp_path, max_requests=1)
+    resp = roundtrip(sock_path, {"op": "stats"})
+    assert resp["ok"]
+    t.join(timeout=30)
+    assert existed_at_listen == [False]
+    assert not os.path.exists(sock_path)
