@@ -8,17 +8,25 @@ is a trivial SCC.  Trimming one node can expose another (Figure 1(b)'s
 Two implementations:
 
 * :func:`par_trim` — production version.  Effective degrees are
-  computed once with a vectorized edge sweep, then maintained
-  *incrementally*: each trimmed node decrements its still-attached
-  neighbours' counters, and only nodes whose counter reaches zero are
-  re-examined.  Total work is O(edges incident to trimmed nodes) after
-  the first sweep.
+  computed once, then maintained *incrementally*: each trimmed node
+  decrements its still-attached neighbours' counters, and only nodes
+  whose counter reaches zero are re-examined (deduplicated with the
+  density-adaptive :func:`~repro.kernels.dedup_sorted`).  Total work
+  is O(edges incident to trimmed nodes) after the first count.  On a
+  fresh state — nothing detached, one colour everywhere — the
+  colour-restricted count is just the CSR row lengths, so the first
+  trim of every pipeline seeds its counters from ``np.diff`` of the
+  two ``indptr`` arrays instead of sweeping the edges; any other state
+  (Trim′, a ``restrict`` mask, an empty graph) sweeps.
 * :func:`par_trim_rescan` — the paper's Algorithm 4 as literally
   written: every iteration rescans every remaining node.  Kept for the
   equivalence tests and the incremental-vs-rescan ablation bench.
 
 Both record one parallel-for per iteration; the first sweep is the
 big data-parallel region that gives Par-Trim its Figure 7 scaling.
+The seeded count records the same region (``2n`` nodes, every
+adjacency entry in both directions), so the trace does not depend on
+which way the counters were filled.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..kernels import effective_degrees_arrays, trim_decrement
+from ..kernels import dedup_sorted, effective_degrees_arrays, trim_decrement
 from .state import PHASE_TRIM, SCCState
 
 __all__ = [
@@ -62,6 +70,15 @@ def trim_candidates(
     return nodes[(eff_out[nodes] == 0) | (eff_in[nodes] == 0)]
 
 
+def _fresh(state: SCCState) -> bool:
+    """True when no node is detached and every node has one colour:
+    then each node's colour-restricted degrees are its CSR degrees."""
+    color = state.color
+    return (
+        color.size > 0
+        and not state.mark.any()
+        and bool((color == color[0]).all())
+    )
 
 
 def par_trim(
@@ -81,8 +98,14 @@ def par_trim(
         active = np.flatnonzero(~mark)
     else:
         active = np.flatnonzero(~mark & restrict)
-    # The initial full sweep: degree counting over every active node.
-    eff_out, eff_in, scanned = effective_degrees(state, active)
+    # The initial count over every active node: the CSR row lengths
+    # on a fresh state, a colour-restricted sweep otherwise.
+    if restrict is None and _fresh(state):
+        eff_out = np.diff(g.indptr).astype(np.int64, copy=False)
+        eff_in = np.diff(g.in_indptr).astype(np.int64, copy=False)
+        scanned = int(g.indptr[-1]) + int(g.in_indptr[-1])
+    else:
+        eff_out, eff_in, scanned = effective_degrees(state, active)
     state.trace.parallel_for(
         phase,
         work=cost.stream(nodes=2 * active.size, edges=scanned),
@@ -113,7 +136,7 @@ def par_trim(
             if hit.size:
                 touched_parts.append(hit)
         if touched_parts:
-            touched = np.unique(np.concatenate(touched_parts))
+            touched = dedup_sorted(np.concatenate(touched_parts), g.num_nodes)
             touched = touched[~mark[touched]]
             if restrict is not None:
                 touched = touched[restrict[touched]]

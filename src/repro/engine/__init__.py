@@ -12,7 +12,7 @@ the load-once/run-many serving surface above them:
   and registry (serial / threads / processes / supervised) with
   capability flags;
 * :mod:`repro.engine.session` — :class:`GraphSession`: one graph,
-  loaded once, with cached transpose/degrees/validation and a warm
+  loaded once, with cached transpose/validation and a warm
   worker pool;
 * :mod:`repro.engine.engine` — :class:`Engine`: fingerprint-keyed
   session cache plus ``run()`` / ``run_many()`` / ``update()``;

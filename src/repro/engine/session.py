@@ -15,7 +15,6 @@ What a session caches:
 * the :class:`~repro.graph.csr.CSRGraph` itself (load once);
 * the transpose CSR (built eagerly by :meth:`warmup`, reused by every
   backward traversal and by the process executors' pre-fork build);
-* the out/in effective-degree arrays (trim seeds);
 * the structural validation verdict (:func:`repro.graph.validate.
   validate_graph` runs at most once per session);
 * a :class:`~repro.engine.shm.SharedStateMirror` sized for the graph;
@@ -64,7 +63,6 @@ class SessionStats:
 
     graph_load_seconds: float = 0.0
     transpose_seconds: float = 0.0
-    degrees_seconds: float = 0.0
     validate_seconds: float = 0.0
     pool_spawn_seconds: float = 0.0
     #: worker-pool forks (1 for a warm session serving many runs).
@@ -85,7 +83,6 @@ class SessionStats:
         return (
             self.graph_load_seconds
             + self.transpose_seconds
-            + self.degrees_seconds
             + self.validate_seconds
             + self.pool_spawn_seconds
         )
@@ -94,7 +91,6 @@ class SessionStats:
         return {
             "graph_load_seconds": self.graph_load_seconds,
             "transpose_seconds": self.transpose_seconds,
-            "degrees_seconds": self.degrees_seconds,
             "validate_seconds": self.validate_seconds,
             "pool_spawn_seconds": self.pool_spawn_seconds,
             "setup_seconds": self.setup_seconds(),
@@ -145,7 +141,6 @@ class GraphSession:
         #: promoted the session to mutable.
         self.dynamic = None
         self.stats = SessionStats(graph_load_seconds=load_seconds)
-        self._degrees: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._validated = False
         self._mirror: Optional[SharedStateMirror] = None
         self._pool: Optional[WorkerPool] = None
@@ -217,17 +212,15 @@ class GraphSession:
         """Advance the mutation epoch after an applied update batch.
 
         Invalidates every artifact derived from the pre-mutation
-        arrays: cached degrees, the structural-validation verdict, and
-        the forked worker pool (its workers inherited the old graph
-        copy-on-write).  The shared mirror survives — it is sized by
-        node count, which updates never change.  Returns the new
-        version.
+        arrays: the structural-validation verdict and the forked worker
+        pool (its workers inherited the old graph copy-on-write).  The
+        shared mirror survives — it is sized by node count, which
+        updates never change.  Returns the new version.
         """
         self._check_open()
         if self._delta is None:
             raise RuntimeError("session is not mutable")
         self.version += 1
-        self._degrees = None
         self._validated = False
         self.release_pool()
         return self.version
@@ -263,22 +256,6 @@ class GraphSession:
             self.checksums.seal("in_indptr", self.graph._in_indptr)
             self.checksums.seal("in_indices", self.graph._in_indices)
 
-    def effective_degrees(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Cached ``(out_degrees, in_degrees)`` of the full graph."""
-        self._check_open()
-        if self._degrees is None:
-            t0 = time.perf_counter()
-            self.ensure_transpose()
-            self._degrees = (
-                self.graph.out_degrees(),
-                self.graph.in_degrees(),
-            )
-            self.stats.degrees_seconds += time.perf_counter() - t0
-            if self.checksums is not None and self._delta is None:
-                self.checksums.seal("out_degrees", self._degrees[0])
-                self.checksums.seal("in_degrees", self._degrees[1])
-        return self._degrees
-
     # -- integrity ------------------------------------------------------
     def integrity_arrays(self) -> dict:
         """Name -> array for every sealable artifact materialized so
@@ -305,9 +282,6 @@ class GraphSession:
         if self.graph._in_indptr is not None:
             arrays["in_indptr"] = self.graph._in_indptr
             arrays["in_indices"] = self.graph._in_indices
-        if self._degrees is not None:
-            arrays["out_degrees"] = self._degrees[0]
-            arrays["in_degrees"] = self._degrees[1]
         return arrays
 
     def verify_integrity(self, *, context: str = "") -> int:
@@ -347,9 +321,8 @@ class GraphSession:
         self, *, processes: bool = False, num_workers: int = 2
     ) -> "GraphSession":
         """Eagerly pay the setup this session would otherwise pay on its
-        first run: transpose, degrees, and (optionally) the worker pool."""
+        first run: the transpose and (optionally) the worker pool."""
         self.ensure_transpose()
-        self.effective_degrees()
         if processes and fork_available():
             self.executor_resources(num_workers=num_workers)
         return self
@@ -435,9 +408,9 @@ class GraphSession:
         """Approximate bytes this session pins (cache + shm + workers).
 
         Counts the CSR arrays actually materialized (graph, transpose),
-        the cached degree arrays, the shared mirror, and a nominal
-        per-worker overhead for a live pool — the currency the memory
-        governor trades in when deciding what to evict.
+        the shared mirror, and a nominal per-worker overhead for a live
+        pool — the currency the memory governor trades in when deciding
+        what to evict.
         """
         from ..runtime.cost import DEFAULT_MEMORY_MODEL as mm
 
@@ -453,8 +426,6 @@ class GraphSession:
             total = g.indptr.nbytes + g.indices.nbytes
             if g._in_indptr is not None:
                 total += g._in_indptr.nbytes + g._in_indices.nbytes
-        if self._degrees is not None:
-            total += sum(a.nbytes for a in self._degrees)
         if self._mirror is not None:
             total += int(mm.mirror_bytes_per_node * g.num_nodes)
         if self._pool is not None:

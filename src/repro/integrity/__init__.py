@@ -6,7 +6,7 @@ silently assumes those bytes never rot.  This package removes the
 assumption with three cooperating defenses (DESIGN.md §14):
 
 * :mod:`repro.integrity.checksums` — block-CRC sidecars
-  (:class:`ChecksummedArrays`) over session-owned CSR/transpose/degree
+  (:class:`ChecksummedArrays`) over session-owned CSR/transpose
   arrays and run-owned label state, verified at session borrow, at
   every phase boundary, and before a response is emitted; a mismatch
   raises :class:`~repro.errors.IntegrityError` (exit 20);

@@ -83,6 +83,7 @@ __all__ = [
     "resolve_backend",
     "segment_counts",
     "set_backend",
+    "transition_arrays",
     "trim2_pattern_pairs",
     "trim_decrement",
     "use_backend",
@@ -90,7 +91,7 @@ __all__ = [
 ]
 
 
-def _transition_arrays(
+def transition_arrays(
     transitions: Dict[int, int]
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Validate a colour-transition map and split it into arrays.
@@ -100,15 +101,16 @@ def _transition_arrays(
     the two only agree when no transition can re-trigger on a freshly
     written colour.  Every caller maps onto freshly allocated colours,
     so the restriction is free — but it is load-bearing for backend
-    parity, hence checked here once for all backends.
+    parity, hence checked here once for all backends.  A traversal
+    calls this once and hands the arrays to every level.
     """
-    olds = np.fromiter(transitions.keys(), dtype=np.int64, count=len(transitions))
-    news = np.fromiter(transitions.values(), dtype=np.int64, count=len(transitions))
-    if np.isin(news, olds).any():
+    if not transitions.keys().isdisjoint(transitions.values()):
         raise ValueError(
             f"transition targets may not also be transition sources: "
             f"{transitions}"
         )
+    olds = np.fromiter(transitions.keys(), dtype=np.int64, count=len(transitions))
+    news = np.fromiter(transitions.values(), dtype=np.int64, count=len(transitions))
     return olds, news
 
 
@@ -174,7 +176,7 @@ def bfs_level_transform(
     ``transitions`` iteration order, each entry the sorted unique array
     of nodes recoloured to that transition's target.
     """
-    olds, news = _transition_arrays(transitions)
+    olds, news = transition_arrays(transitions)
     return get_kernel("bfs_level_transform")(
         indptr, indices, frontier, color, olds, news
     )
@@ -337,7 +339,7 @@ def dfs_collect_colored(
         raise ValueError(
             f"pivot colour {pivot_color} not in transition map {transitions}"
         )
-    olds, news = _transition_arrays(transitions)
+    olds, news = transition_arrays(transitions)
     parts, edges = get_kernel("dfs_collect_colored")(
         indptr, indices, int(pivot), olds, news, color
     )

@@ -97,7 +97,7 @@ def trim_decrement(
     scatter) for an equivalent ``bincount`` subtraction.
     """
     counts = reference.segment_counts(indptr, cand)
-    targets = reference.expand_frontier(indptr, indices, cand)
+    targets = reference.gather_segments(indptr, indices, cand, counts)
     scanned = int(targets.size)
     if scanned == 0:
         return _EMPTY, 0
@@ -194,7 +194,7 @@ def ms_expand_frontier(
     if frontier.size == 0:
         return _EMPTY, _EMPTY_U64, 0
     counts = reference.segment_counts(indptr, frontier)
-    targets = reference.expand_frontier(indptr, indices, frontier)
+    targets = reference.gather_segments(indptr, indices, frontier, counts)
     scanned = int(targets.size)
     if scanned == 0:
         return _EMPTY, _EMPTY_U64, 0

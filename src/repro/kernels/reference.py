@@ -23,6 +23,7 @@ from .registry import register
 __all__ = [
     "segment_counts",
     "dedup_sorted",
+    "gather_segments",
     "expand_frontier",
     "delta_expand_frontier",
     "bfs_level_transform",
@@ -60,7 +61,7 @@ MS_CLAIMED = 4
 
 #: frontier-density threshold for the adaptive dedup: with more than
 #: ``n / DEDUP_DENSITY_DIVISOR`` candidate entries the O(n) bitmap
-#: beats the O(k log k) sort that ``np.unique`` performs.
+#: beats the O(k log k) sort the sparse path performs.
 DEDUP_DENSITY_DIVISOR = 8
 
 
@@ -80,11 +81,13 @@ def segment_counts(indptr: np.ndarray, frontier: np.ndarray) -> np.ndarray:
 def dedup_sorted(values: np.ndarray, num_nodes: int) -> np.ndarray:
     """Sorted unique node ids, choosing the representation by density.
 
-    Sparse batches sort (``np.unique``); dense batches — more than
-    1/8th of the node count — set flags in a bitmap and read them back
-    with ``flatnonzero``, which is O(n + k) instead of O(k log k) and
-    stops dense BFS levels from re-sorting mostly-duplicate targets.
-    Both paths return the identical sorted-unique array.
+    Sparse batches sort and keep each value that differs from its left
+    neighbour; dense batches — more than 1/8th of the node count — set
+    flags in a bitmap and read them back with ``flatnonzero``, which is
+    O(n + k) instead of O(k log k) and stops dense BFS levels from
+    re-sorting mostly-duplicate targets.  Both paths return the array
+    ``np.unique`` would (which in NumPy 2.x hashes instead of sorting,
+    and is slower than either path here on integer node ids).
     """
     k = values.size
     if k == 0:
@@ -93,7 +96,11 @@ def dedup_sorted(values: np.ndarray, num_nodes: int) -> np.ndarray:
         flags = np.zeros(num_nodes, dtype=bool)
         flags[values] = True
         return np.flatnonzero(flags)
-    return np.unique(values)
+    s = np.sort(values)
+    keep = np.empty(k, dtype=bool)
+    keep[0] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
 
 
 def _is_contiguous_range(frontier: np.ndarray) -> bool:
@@ -103,6 +110,34 @@ def _is_contiguous_range(frontier: np.ndarray) -> bool:
     if int(frontier[-1]) - int(frontier[0]) + 1 != frontier.size:
         return False
     return bool((np.diff(frontier) == 1).all())
+
+
+def gather_segments(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    frontier: np.ndarray,
+    counts: np.ndarray,
+) -> np.ndarray:
+    """Concatenated adjacency rows of ``frontier`` (int64 targets).
+
+    ``counts`` is ``segment_counts(indptr, frontier)``; callers that
+    need it anyway (to repeat per-source data alongside the targets)
+    pass it in rather than have it recounted.
+    """
+    total = int(counts.sum())
+    if total == 0:
+        return _EMPTY
+    if _is_contiguous_range(frontier):
+        lo = int(indptr[frontier[0]])
+        return indices[lo : lo + total].astype(np.int64, copy=True)
+    starts = indptr[frontier].astype(np.int64, copy=False)
+    cum = np.cumsum(counts)
+    # position j of output sits in segment k with offset
+    # j - (cum[k] - counts[k])
+    idx = np.arange(total, dtype=np.int64) + np.repeat(
+        starts - (cum - counts), counts
+    )
+    return indices[idx].astype(np.int64, copy=False)
 
 
 @register("expand_frontier", "numpy")
@@ -135,21 +170,9 @@ def expand_frontier(
     if frontier.size == 0:
         return (_EMPTY, _EMPTY) if return_sources else _EMPTY
     counts = segment_counts(indptr, frontier)
-    total = int(counts.sum())
-    if total == 0:
+    targets = gather_segments(indptr, indices, frontier, counts)
+    if targets.size == 0:
         return (_EMPTY, _EMPTY) if return_sources else _EMPTY
-    if _is_contiguous_range(frontier):
-        lo = int(indptr[frontier[0]])
-        targets = indices[lo : lo + total].astype(np.int64, copy=True)
-    else:
-        starts = indptr[frontier].astype(np.int64, copy=False)
-        cum = np.cumsum(counts)
-        # position j of output sits in segment k with offset
-        # j - (cum[k] - counts[k])
-        idx = np.arange(total, dtype=np.int64) + np.repeat(
-            starts - (cum - counts), counts
-        )
-        targets = indices[idx].astype(np.int64, copy=False)
     if return_sources:
         return targets, np.repeat(frontier, counts)
     if unique:

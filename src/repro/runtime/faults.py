@@ -110,8 +110,6 @@ CORRUPTIBLE_ARRAYS = (
     "indices",
     "in_indptr",
     "in_indices",
-    "out_degrees",
-    "in_degrees",
     "labels",
     "color",
 )
@@ -419,13 +417,11 @@ def apply_corruption(array: np.ndarray, spec: FaultSpec) -> List[int]:
 def corruption_target(session, name: str, state=None) -> np.ndarray:
     """The live array a ``corrupt`` spec named ``name`` flips: the
     run's ``labels``/``color`` on ``state``, else the warm session
-    array (its transpose or degrees are built first)."""
+    array (its transpose is built first)."""
     if name in ("labels", "color"):
         return getattr(state, name)
     if name in ("in_indptr", "in_indices"):
         session.ensure_transpose()
-    elif name in ("out_degrees", "in_degrees"):
-        session.effective_degrees()
     return session.integrity_arrays()[name]
 
 

@@ -23,7 +23,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..kernels import bfs_level_transform, dedup_sorted
+from ..kernels import dedup_sorted, get_kernel, transition_arrays
 from ..runtime.cost import CostModel, DEFAULT_COST_MODEL
 from ..runtime.trace import WorkTrace
 from .frontier import expand_frontier
@@ -155,6 +155,10 @@ def bfs_color_transform(
         raise ValueError(
             f"pivot colour {pivot_color} not in transition map {transitions}"
         )
+    olds, news = transition_arrays(transitions)
+    # Resolved per traversal, not per level (nor at import, so a
+    # registry swap between runs still takes effect).
+    level_transform = get_kernel("bfs_level_transform")
     new_pivot_color = transitions[pivot_color]
     color[pivot] = new_pivot_color
     collected[new_pivot_color].append(np.array([pivot], dtype=np.int64))
@@ -163,8 +167,8 @@ def bfs_color_transform(
     edges = 0
     nodes_visited = 1
     while frontier.size:
-        hits, scanned = bfs_level_transform(
-            indptr, indices, frontier, color, transitions
+        hits, scanned = level_transform(
+            indptr, indices, frontier, color, olds, news
         )
         edges += scanned
         if trace is not None:

@@ -141,3 +141,118 @@ class TestRescanEquivalence:
         par_trim(s1)
         par_trim_rescan(s2)
         assert s2.trace.total_work() > 3 * s1.trace.total_work()
+
+
+def _multigraph(n, m, seed):
+    """Random digraph keeping self-loops and duplicate edges."""
+    from repro.graph import from_edge_array
+
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, n, m)
+    dst = rng.integers(0, n, m)
+    src = np.concatenate([src, src[:20], np.arange(0, n, 7)])
+    dst = np.concatenate([dst, dst[:20], np.arange(0, n, 7)])
+    return from_edge_array(src, dst, n, dedup=False, drop_self_loops=False)
+
+
+class TestSeededFirstTrim:
+    """A fresh state seeds the first trim's degrees from the CSR row
+    lengths; every other state sweeps.  Either way the marks, labels,
+    counters and trace records are those of the sweep."""
+
+    @pytest.fixture()
+    def sweeps(self, monkeypatch):
+        import repro.core.trim as trim
+
+        calls = []
+        sweep = trim.effective_degrees
+
+        def counting(state, nodes):
+            calls.append(nodes.size)
+            return sweep(state, nodes)
+
+        monkeypatch.setattr(trim, "effective_degrees", counting)
+        return calls
+
+    @staticmethod
+    def _swept(g, monkeypatch, prepare=lambda s: None, **kw):
+        import repro.core.trim as trim
+
+        s = SCCState(g)
+        prepare(s)
+        with monkeypatch.context() as m:
+            m.setattr(trim, "_fresh", lambda state: False)
+            trimmed = par_trim(s, **kw)
+        return trimmed, s
+
+    @staticmethod
+    def _assert_same(a, b):
+        assert a[0] == b[0]
+        sa, sb = a[1], b[1]
+        assert np.array_equal(sa.mark, sb.mark)
+        assert np.array_equal(sa.labels, sb.labels)
+        assert np.array_equal(sa.color, sb.color)
+        assert sa.trace.records == sb.trace.records
+        assert sa.profile.counters == sb.profile.counters
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_matches_sweep(self, seed, sweeps, monkeypatch):
+        g = _multigraph(90, 160 + 40 * seed, seed)
+        rows = np.repeat(np.arange(g.num_nodes), np.diff(g.indptr))
+        assert (g.indices == rows).any()  # self-loops kept
+        assert g.num_edges > len(set(zip(rows, g.indices)))  # duplicates
+        s = SCCState(g)
+        seeded = (par_trim(s), s)
+        assert sweeps == []  # the fresh state skipped the sweep
+        self._assert_same(seeded, self._swept(g, monkeypatch))
+        assert seeded[0] > 0
+
+    def test_seeded_records_full_sweep_region(self, sweeps):
+        g = _multigraph(40, 90, 11)
+        s = SCCState(g)
+        par_trim(s)
+        first = s.trace.records[0]
+        cost = s.cost
+        assert first.items == g.num_nodes
+        assert first.work == cost.stream(
+            nodes=2 * g.num_nodes,
+            edges=int(g.indptr[-1]) + int(g.in_indptr[-1]),
+        )
+
+    def test_restrict_mask_sweeps(self, sweeps, monkeypatch):
+        g = _multigraph(60, 120, 3)
+        restrict = np.arange(60) % 3 != 0
+        s = SCCState(g)
+        got = (par_trim(s, restrict=restrict), s)
+        assert sweeps == [int(restrict.sum())]
+        self._assert_same(got, self._swept(g, monkeypatch, restrict=restrict))
+
+    def test_marked_nodes_sweep(self, sweeps, monkeypatch):
+        g = _multigraph(60, 150, 4)
+
+        def prepare(s):
+            s.mark_singletons(np.array([5, 17]), PHASE_TRIM)
+
+        s = SCCState(g)
+        prepare(s)
+        got = (par_trim(s), s)
+        assert sweeps == [58]
+        self._assert_same(got, self._swept(g, monkeypatch, prepare))
+
+    def test_mixed_colours_sweep(self, sweeps, monkeypatch):
+        g = _multigraph(60, 150, 5)
+
+        def prepare(s):
+            s.color[::2] = 7
+
+        s = SCCState(g)
+        prepare(s)
+        got = (par_trim(s), s)
+        assert sweeps == [60]
+        self._assert_same(got, self._swept(g, monkeypatch, prepare))
+
+    def test_empty_graph_sweeps(self, sweeps):
+        g = from_edge_list([], 0)
+        s = SCCState(g)
+        assert par_trim(s) == 0
+        assert sweeps == [0]

@@ -66,6 +66,31 @@ class TestExpandFrontier:
             assert impl(g.indptr, g.indices, empty).size == 0
 
 
+class TestDedupSorted:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_np_unique_across_density_cutoff(self, seed):
+        from repro.kernels.reference import DEDUP_DENSITY_DIVISOR
+
+        rng = np.random.default_rng(seed)
+        n = 800
+        cutoff = n // DEDUP_DENSITY_DIVISOR
+        for k in (1, 2, cutoff - 1, cutoff, cutoff + 1, 3 * cutoff, 4 * n):
+            values = rng.integers(0, n, k)
+            got = reference.dedup_sorted(values, n)
+            assert np.array_equal(got, np.unique(values))
+        assert reference.dedup_sorted(np.empty(0, np.int64), n).size == 0
+
+    def test_all_duplicates_and_extremes(self):
+        n = 64
+        for values in (
+            np.full(5, 3),
+            np.array([n - 1, 0, n - 1, 0]),
+            np.arange(n)[::-1],
+        ):
+            got = reference.dedup_sorted(values, n)
+            assert np.array_equal(got, np.unique(values))
+
+
 class TestBfsLevelTransform:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_all_backends_match(self, seed):

@@ -112,3 +112,17 @@ class TestBfsColorTransform:
         color = np.zeros(4, dtype=np.int64)
         res = bfs_color_transform(chain(), 0, {0: 1}, color)
         assert res.levels == 3
+
+    @pytest.mark.parametrize("tier", ["numpy", "numba"])
+    def test_overlapping_transition_map_rejected(self, tier):
+        # A target that is also a source could re-trigger on a freshly
+        # written colour; the map is refused before anything is
+        # recoloured.
+        from repro.kernels import use_backend
+
+        color = np.zeros(4, dtype=np.int64)
+        with use_backend(tier), pytest.raises(
+            ValueError, match="transition targets"
+        ):
+            bfs_color_transform(chain(), 0, {0: 1, 1: 2}, color)
+        assert not color.any()
